@@ -1,16 +1,17 @@
 //! B9: the rewrite execution path end to end — the general Figure-6
-//! translation route (`run_general`: optimize → translate → evaluate →
-//! decode) with the rewrite path **on** (Section-6 optimizer + canonical
-//! CSE + process-level plan/result caches, the production default) versus
-//! **off** (`WSDB_NO_REWRITE` semantics: the PR-3-era path), across a
-//! worlds × departures grid.
+//! translation route (`run_general`: optimize → translate → simplify →
+//! join reordering → evaluate → decode) with the rewrite path **on**
+//! (Section-6 optimizer + canonical CSE + the process-level plan cache,
+//! the production default) versus **off** (`WSDB_NO_REWRITE` semantics:
+//! the PR-3-era path), across a worlds × departures grid.
 //!
-//! `on` measures the steady state of a repeated query: after the first
-//! call, the content-verified result cache answers without translating,
-//! evaluating, or decoding. `off_coldcache` measures the full computation
-//! every call. The ratio is the Section-5.3 story made concrete: the
-//! general translation is viable *because* the algebraic machinery around
-//! it can be amortized.
+//! `on` runs the whole pipeline on every call: the optimizer search,
+//! translation, simplification and join reordering are paid each time,
+//! and evaluation hits the content-verified plan cache warmed by the
+//! earlier calls (a warm-plan-cache steady state, not a cold run).
+//! `off_coldcache` runs the unrewritten translation with no caches every
+//! call. The two legs separate what the algebraic machinery costs per
+//! call from what its cached evaluation saves.
 
 use std::time::Duration;
 
@@ -65,7 +66,7 @@ fn bench_rewrite_pipeline(c: &mut Criterion) {
                 b.iter(|| wsa_inlined::run_general(&q, &rep, "Ans").unwrap());
             });
 
-            // The escape-hatch path: no optimizer, no plan/result caches.
+            // The escape-hatch path: no optimizer, no plan cache.
             relalg::plan_cache::set_enabled(Some(false));
             group.bench_with_input(BenchmarkId::new("off_coldcache", &label), &n_dep, |b, _| {
                 b.iter(|| wsa_inlined::run_general(&q, &rep, "Ans").unwrap());

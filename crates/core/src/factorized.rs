@@ -23,14 +23,17 @@
 //!   values) and `repair-by-key` are decode boundaries: the branch is
 //!   expanded to explicit worlds and evaluation continues enumerated.
 //!
-//! [`eval_named_routed`] is the public entry: a cost-model-driven chooser
-//! ([`should_factorize`], using the [`Relation::stats`] cardinalities to
-//! estimate the implicit world count) decides factorized vs. enumerated
-//! per query, and *any* factorized error — a representation budget
-//! overflow or a genuine algebra error — falls back to the reference
-//! evaluator, whose result (or error) is authoritative. The strict entry
-//! [`eval_factorized`] is exposed for equivalence testing: modulo
-//! fallback, the two paths return byte-identical world-sets.
+//! One evaluator runs every plan: [`plan_query`] assigns each query node
+//! a representation (a [`RepPlan`], costed on the [`Relation::stats`]
+//! cardinalities), and [`eval_planned`] runs the factored regions
+//! succinct and the rest through the reference semantics, converting at
+//! the region boundaries. [`eval_named_routed`] is the public entry: it
+//! plans, and *any* factorized error — a representation budget overflow
+//! or a genuine algebra error — falls back to the reference evaluator,
+//! whose result (or error) is authoritative. The strict entry
+//! [`eval_factorized`] plans every decode-free node factored and is
+//! exposed for equivalence testing: modulo fallback, the two paths
+//! return byte-identical world-sets.
 
 use relalg::{config, Relation, Result};
 use uldb::{Dnf, FResult, FactorError, FactoredSet};
@@ -55,142 +58,6 @@ struct Fx<'a> {
 }
 
 impl Fx<'_> {
-    fn eval(&mut self, q: &Query) -> FResult<Rep> {
-        match q {
-            Query::Rel(name) => {
-                let rel = self
-                    .fs
-                    .table(name)
-                    .ok_or_else(|| relalg::RelalgError::UnknownTable { name: name.clone() })?
-                    .clone();
-                let w = self.fs.worlds().clone();
-                Ok(Rep::F { rel, w })
-            }
-
-            Query::Select(p, inner) => match self.eval(inner)? {
-                Rep::F { rel, w } => Ok(Rep::F {
-                    rel: self.fs.select(&rel, p)?,
-                    w,
-                }),
-                Rep::E(input) => Ok(Rep::E(dedup_worlds(apply_unary(&input, |r| r.select(p))?))),
-            },
-            Query::Project(attrs, inner) => match self.eval(inner)? {
-                Rep::F { rel, w } => Ok(Rep::F {
-                    rel: self.fs.project(&rel, attrs)?,
-                    w,
-                }),
-                Rep::E(input) => Ok(Rep::E(dedup_worlds(apply_unary(&input, |r| {
-                    r.project(attrs)
-                })?))),
-            },
-            Query::Rename(map, inner) => match self.eval(inner)? {
-                Rep::F { rel, w } => Ok(Rep::F {
-                    rel: self.fs.rename(&rel, map)?,
-                    w,
-                }),
-                Rep::E(input) => Ok(Rep::E(dedup_worlds(apply_unary(&input, |r| {
-                    r.rename(map)
-                })?))),
-            },
-
-            Query::Product(a, b) => self.binary(a, b, BinOp::Product),
-            Query::Union(a, b) => self.binary(a, b, BinOp::Union),
-            Query::Intersect(a, b) => self.binary(a, b, BinOp::Intersect),
-            Query::Difference(a, b) => self.binary(a, b, BinOp::Difference),
-
-            Query::Choice(attrs, inner) => match self.eval(inner)? {
-                Rep::F { rel, w } => {
-                    let (rel, w) = self.fs.choice(&rel, attrs, &w)?;
-                    Ok(Rep::F { rel, w })
-                }
-                Rep::E(input) => Ok(Rep::E(dedup_worlds(apply_choice(&input, attrs)?))),
-            },
-
-            Query::Poss(inner) => match self.eval(inner)? {
-                // The merged answer is certain (lineage ⊤) and every
-                // valid world keeps its prefix: `w` is unchanged.
-                Rep::F { rel, w } => Ok(Rep::F {
-                    rel: self.fs.poss(&rel, &w)?,
-                    w,
-                }),
-                Rep::E(input) => Ok(Rep::E(dedup_worlds(apply_grouped(
-                    &input, None, None, true,
-                )?))),
-            },
-            Query::Cert(inner) => match self.eval(inner)? {
-                Rep::F { rel, w } => Ok(Rep::F {
-                    rel: self.fs.cert(&rel, &w)?,
-                    w,
-                }),
-                Rep::E(input) => Ok(Rep::E(dedup_worlds(apply_grouped(
-                    &input, None, None, false,
-                )?))),
-            },
-
-            // Decode boundaries: grouping compares answer *sets* across
-            // worlds — expand and continue enumerated.
-            Query::PossGroup { group, proj, input } => {
-                let rep = self.eval(input)?;
-                let worlds = self.to_worlds(rep)?;
-                Ok(Rep::E(dedup_worlds(apply_grouped(
-                    &worlds,
-                    Some(group),
-                    Some(proj),
-                    true,
-                )?)))
-            }
-            Query::CertGroup { group, proj, input } => {
-                let rep = self.eval(input)?;
-                let worlds = self.to_worlds(rep)?;
-                Ok(Rep::E(dedup_worlds(apply_grouped(
-                    &worlds,
-                    Some(group),
-                    Some(proj),
-                    false,
-                )?)))
-            }
-            Query::RepairKey(key, inner) => {
-                let rep = self.eval(inner)?;
-                let worlds = self.to_worlds(rep)?;
-                Ok(Rep::E(dedup_worlds(apply_repair(&worlds, key)?)))
-            }
-        }
-    }
-
-    fn binary(&mut self, a: &Query, b: &Query, op: BinOp) -> FResult<Rep> {
-        let ra = self.eval(a)?;
-        let rb = self.eval(b)?;
-        match (ra, rb) {
-            (Rep::F { rel: la, w: wa }, Rep::F { rel: lb, w: wb }) => {
-                // Validity product = the reference evaluator's pairing of
-                // operand worlds over the shared prefix: operand-private
-                // choice variables stay independent, shared base
-                // variables must agree.
-                let w = wa
-                    .and_dnf(&wb, self.fs.doms(), self.fs.budget())
-                    .ok_or(FactorError::Budget("binary validity product"))?;
-                let rel = match op {
-                    BinOp::Product => self.fs.product(&la, &lb)?,
-                    BinOp::Union => self.fs.union(&la, &lb)?,
-                    BinOp::Intersect => self.fs.intersect(&la, &lb)?,
-                    BinOp::Difference => self.fs.difference(&la, &lb)?,
-                };
-                Ok(Rep::F { rel, w })
-            }
-            (ra, rb) => {
-                let left = self.to_worlds(ra)?;
-                let right = self.to_worlds(rb)?;
-                let out = match op {
-                    BinOp::Product => apply_binary(&left, &right, |l, r| l.product(r)),
-                    BinOp::Union => apply_binary(&left, &right, |l, r| l.union(r)),
-                    BinOp::Intersect => apply_binary(&left, &right, |l, r| l.intersect(r)),
-                    BinOp::Difference => apply_binary(&left, &right, |l, r| l.difference(r)),
-                }?;
-                Ok(Rep::E(dedup_worlds(out)))
-            }
-        }
-    }
-
     /// Decode a branch to explicit worlds (prefix relations + answer
     /// last), the input format of the `apply_*` helpers.
     fn to_worlds(&self, rep: Rep) -> FResult<Vec<World>> {
@@ -263,6 +130,8 @@ impl Fx<'_> {
                     let (rel, w) = self.fs.choice(&rel, attrs, &w)?;
                     Ok(Rep::F { rel, w })
                 }
+                // The merged answer is certain (lineage ⊤) and every valid
+                // world keeps its prefix: `w` is unchanged.
                 Query::Poss(i) => {
                     let (rel, w) = self.eval_pf(i, &p.kids[0])?;
                     Ok(Rep::F {
@@ -283,6 +152,10 @@ impl Fx<'_> {
                 | Query::Difference(a, b) => {
                     let (la, wa) = self.eval_pf(a, &p.kids[0])?;
                     let (lb, wb) = self.eval_pf(b, &p.kids[1])?;
+                    // Validity product = the reference evaluator's pairing
+                    // of operand worlds over the shared prefix: operand-
+                    // private choice variables stay independent, shared
+                    // base variables must agree.
                     let w = wa
                         .and_dnf(&wb, self.fs.doms(), self.fs.budget())
                         .ok_or(FactorError::Budget("binary validity product"))?;
@@ -482,11 +355,23 @@ impl RepPlan {
     }
 }
 
+/// Which nodes a [`Planner`] may run factored.
+#[derive(Clone, Copy)]
+enum Policy {
+    /// None: factorization is switched off, or the input has no worlds.
+    Enumerate,
+    /// Those whose cost rule fires (see [`RepPlan`]).
+    Cost,
+    /// Every decode-free node, regardless of cost ([`eval_factorized`]).
+    Factor,
+}
+
 struct Planner<'a> {
     /// Base world count of the input world-set (≥ 1).
     wc: u128,
     /// `WSDB_FACTORIZE_MIN_WORLDS`.
     min: u128,
+    policy: Policy,
     distinct: &'a dyn Fn(&str, &[relalg::Attr]) -> Option<u128>,
 }
 
@@ -517,9 +402,11 @@ impl Planner<'_> {
             // result distinguishes only the base prefixes again.
             Query::Poss(_) | Query::Cert(_) => self.wc,
             Query::PossGroup { .. } | Query::CertGroup { .. } => kids[0].out,
-            Query::Choice(attrs, i) => kids[0]
-                .out
-                .saturating_mul(group_estimate(attrs, i, self.distinct)),
+            Query::Choice(attrs, i) => {
+                kids[0]
+                    .out
+                    .saturating_mul(group_estimate(attrs, i, self.distinct))
+            }
             // Repairs multiply by the product of key-group sizes; without
             // per-group statistics use a small constant.
             Query::RepairKey(_, _) => kids[0].out.saturating_mul(4),
@@ -537,15 +424,20 @@ impl Planner<'_> {
                 .max(1),
         };
         let peak = kids.iter().map(|k| k.peak).fold(out, u128::max);
-        let has_choice =
-            matches!(q, Query::Choice(_, _)) || kids.iter().any(|k| k.has_choice);
+        let has_choice = matches!(q, Query::Choice(_, _)) || kids.iter().any(|k| k.has_choice);
         let decode_free = !matches!(
             q,
             Query::PossGroup { .. } | Query::CertGroup { .. } | Query::RepairKey(_, _)
         ) && kids.iter().all(|k| k.decode_free);
-        let rule_f = has_choice
-            && decode_free
-            && peak >= self.min.max(GAIN.saturating_mul(self.wc.saturating_add(out)));
+        let floor = self
+            .min
+            .max(GAIN.saturating_mul(self.wc.saturating_add(out)));
+        let rule_f = decode_free
+            && match self.policy {
+                Policy::Enumerate => false,
+                Policy::Cost => has_choice && peak >= floor,
+                Policy::Factor => true,
+            };
         RepPlan {
             card: RepCard::E,
             out,
@@ -603,8 +495,19 @@ impl Planner<'_> {
 
 /// Build the per-node representation plan for `q` over `ws`, using the
 /// PR 5 relation statistics for the group estimates.
+///
+/// This is the one routing decision: with factorization switched off
+/// (`WSDB_NO_FACTORIZE`, [`config::set_factorize_enabled`]) or an empty
+/// input, every node is enumerated, so [`RepPlan::any_f`] alone says
+/// whether a query routes to the factorized evaluator. The estimates
+/// (`out`, `peak`) are computed either way.
 pub fn plan_query(q: &Query, ws: &WorldSet) -> RepPlan {
-    plan_with(q, ws.len(), &|name, attrs| {
+    let policy = if config::factorize_enabled() && !ws.is_empty() {
+        Policy::Cost
+    } else {
+        Policy::Enumerate
+    };
+    build_plan(q, ws.len(), policy, &|name, attrs| {
         let idx = ws.index_of(name)?;
         let w = ws.iter().next()?;
         let r = w.rel(idx);
@@ -617,20 +520,19 @@ pub fn plan_query(q: &Query, ws: &WorldSet) -> RepPlan {
     })
 }
 
-/// [`plan_query`] for callers that hold a *succinct representation*
-/// rather than enumerated worlds: `world_count` is the representation's
-/// world count and `distinct` supplies the distinct-count statistic for a
-/// base relation's attributes (`None` falls back to the default group
-/// estimate of 4). This lets the Figure-6 translation and `EXPLAIN`
-/// consult the planner without first decoding into explicit worlds.
-pub fn plan_with(
+/// Run both planner passes over `q` for a `world_count`-world input.
+/// `distinct` supplies the distinct-count statistic for a base relation's
+/// attributes (`None` falls back to the default group estimate of 4).
+fn build_plan(
     q: &Query,
     world_count: usize,
+    policy: Policy,
     distinct: &dyn Fn(&str, &[relalg::Attr]) -> Option<u128>,
 ) -> RepPlan {
     let planner = Planner {
         wc: (world_count as u128).max(1),
         min: config::FACTORIZE_MIN_WORLDS.get() as u128,
+        policy,
         distinct,
     };
     let mut plan = planner.build(q);
@@ -640,20 +542,13 @@ pub fn plan_with(
 
 /// Evaluate `q` strictly on the factorized path (no fallback): identical
 /// output to [`crate::eval_named`] whenever it succeeds. Budget overflows
-/// surface as [`FactorError::Budget`]. Every choice-carrying region runs
-/// factored regardless of cost (the equivalence-testing entry); the
-/// cost-driven mixed plan is [`eval_planned`].
+/// surface as [`FactorError::Budget`]. Every decode-free node runs
+/// factored regardless of cost and of the runtime toggle (the
+/// equivalence-testing entry); the cost-driven mixed plan is
+/// [`eval_planned`] over [`plan_query`].
 pub fn eval_factorized(q: &Query, ws: &WorldSet, out_name: &str) -> FResult<WorldSet> {
-    let fs = FactoredSet::from_world_set(ws)?;
-    let mut fx = Fx { fs, ws };
-    match fx.eval(q)? {
-        Rep::F { rel, w } => fx.fs.expand_with(&w, Some((out_name, &rel))),
-        Rep::E(worlds) => {
-            let mut names = ws.rel_names().to_vec();
-            names.push(out_name.to_string());
-            Ok(WorldSet::from_worlds(names, worlds)?)
-        }
-    }
+    let plan = build_plan(q, ws.len(), Policy::Factor, &|_, _| None);
+    eval_planned(q, ws, out_name, &plan)
 }
 
 /// Collect the base relations read by the plan's factored regions:
@@ -716,46 +611,13 @@ pub fn eval_planned(q: &Query, ws: &WorldSet, out_name: &str, plan: &RepPlan) ->
 /// enumerated result — or error — is authoritative). An all-enumerated
 /// plan short-circuits to the reference evaluator directly.
 pub fn eval_named_routed(q: &Query, ws: &WorldSet, out_name: &str) -> Result<WorldSet> {
-    if config::factorize_enabled() && !ws.is_empty() {
-        let plan = plan_query(q, ws);
-        if plan.any_f() {
-            if let Ok(out) = eval_planned(q, ws, out_name, &plan) {
-                return Ok(out);
-            }
+    let plan = plan_query(q, ws);
+    if plan.any_f() {
+        if let Ok(out) = eval_planned(q, ws, out_name, &plan) {
+            return Ok(out);
         }
     }
     crate::semantics::eval_named(q, ws, out_name)
-}
-
-/// Whether the planner routes any part of `q` to the factorized path:
-/// factorization enabled, a non-empty input, and at least one node whose
-/// cost rule fires (subtree peak at least `GAIN ×` the worlds an
-/// enumerated plan would touch, and no smaller than
-/// `WSDB_FACTORIZE_MIN_WORLDS`).
-pub fn should_factorize(q: &Query, ws: &WorldSet) -> bool {
-    config::factorize_enabled() && !ws.is_empty() && plan_query(q, ws).any_f()
-}
-
-/// Estimate of the number of implicit worlds `q` creates over `ws`: the
-/// *peak* output estimate across the plan — `|ws|` times the splitting
-/// factor of the widest intermediate. Choice nodes multiply by their
-/// estimated group count (the PR 5 statistics of the base relation they
-/// resolve to, or a default of 4); `poss`/`cert` collapse back to the
-/// base count; binary nodes pair operand worlds. Saturating; an
-/// estimate, not a bound — used only to steer the representation choice
-/// and reported by `EXPLAIN`.
-pub fn implicit_world_estimate(q: &Query, ws: &WorldSet) -> u128 {
-    plan_query(q, ws).peak
-}
-
-/// [`implicit_world_estimate`] over a succinct representation (see
-/// [`plan_with`] for the `distinct` contract).
-pub fn implicit_world_estimate_with(
-    q: &Query,
-    world_count: usize,
-    distinct: &dyn Fn(&str, &[relalg::Attr]) -> Option<u128>,
-) -> u128 {
-    plan_with(q, world_count, distinct).peak
 }
 
 /// Estimated number of `χ_U` groups: when the choice input resolves to a
@@ -933,28 +795,36 @@ mod tests {
         WorldSet::single(vec![("T", Relation::table(&["K", "V"], &refs))])
     }
 
+    /// Serializes the tests that set the process-wide factorize toggle,
+    /// which [`plan_query`] reads.
+    fn toggle_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     #[test]
     fn chooser_uses_stats_and_toggle() {
+        let _guard = toggle_lock();
         let ws = single();
         let q3 = Query::rel("Flights").choice(attrs(&["Dep"]));
         // 1 world × 3 Dep groups.
-        assert_eq!(implicit_world_estimate(&q3, &ws), 3);
+        assert_eq!(plan_query(&q3, &ws).peak, 3);
         // Chained choices multiply: 3 Dep × 2 Arr.
         let q6 = Query::rel("Flights")
             .choice(attrs(&["Dep"]))
             .choice(attrs(&["Arr"]));
-        assert_eq!(implicit_world_estimate(&q6, &ws), 6);
+        assert_eq!(plan_query(&q6, &ws).peak, 6);
         // Pin the toggle on so the assertions hold under the CI
         // `WSDB_NO_FACTORIZE=1` leg too.
         config::set_factorize_enabled(Some(true));
-        assert!(!should_factorize(&q6, &ws), "6 < default threshold 16");
+        assert!(!plan_query(&q6, &ws).any_f(), "6 < default threshold 16");
         // A query that *ends* in its widest choice gains nothing from
         // factorizing: every implicit world is decoded at the output
         // anyway, so the per-node rule keeps it enumerated.
         let q_big = q6.clone().choice(attrs(&["Dep"]));
-        assert_eq!(implicit_world_estimate(&q_big, &ws), 18);
+        assert_eq!(plan_query(&q_big, &ws).peak, 18);
         assert!(
-            !should_factorize(&q_big, &ws),
+            !plan_query(&q_big, &ws).any_f(),
             "χ-ended query decodes its peak at the output"
         );
         // A cert-closed query collapses back to one world: 20 implicit
@@ -964,13 +834,15 @@ mod tests {
             .choice(attrs(&["K"]))
             .project(attrs(&["V"]))
             .cert();
-        assert_eq!(implicit_world_estimate(&q_cert, &kws), 20);
-        assert!(should_factorize(&q_cert, &kws));
+        assert_eq!(plan_query(&q_cert, &kws).peak, 20);
+        assert!(plan_query(&q_cert, &kws).any_f());
         // No choice node ⇒ never factorize.
-        assert!(!should_factorize(&Query::rel("Flights"), &ws));
+        assert!(!plan_query(&Query::rel("Flights"), &ws).any_f());
         // The runtime toggle wins.
         config::set_factorize_enabled(Some(false));
-        assert!(!should_factorize(&q_cert, &kws));
+        let off = plan_query(&q_cert, &kws);
+        assert!(!off.any_f());
+        assert_eq!(off.peak, 20, "estimates survive the toggle");
         config::set_factorize_enabled(None);
     }
 
@@ -981,18 +853,14 @@ mod tests {
         let refs: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
         let t = Relation::table(&["K", "V"], &refs);
         let worlds: Vec<World> = (0..wc)
-            .map(|i| {
-                World::new(vec![
-                    t.clone(),
-                    Relation::table(&["M"], &[&[i as i64]]),
-                ])
-            })
+            .map(|i| World::new(vec![t.clone(), Relation::table(&["M"], &[&[i as i64]])]))
             .collect();
         WorldSet::from_worlds(vec!["T".to_string(), "M".to_string()], worlds).unwrap()
     }
 
     #[test]
     fn planner_builds_mixed_plans() {
+        let _guard = toggle_lock();
         config::set_factorize_enabled(Some(true));
         // 4 base worlds, 8 K-groups: a single-choice tail peaks at
         // 4×8 = 32 < GAIN·(4+4) = 64 (enumerated), while a union of two
@@ -1010,8 +878,16 @@ mod tests {
         let q = op1.clone().intersect(op2.clone());
         let plan = plan_query(&q, &ws);
         assert_eq!(plan.card, RepCard::E, "mixed: the intersect pairs worlds");
-        assert_eq!(plan.kids[0].card, RepCard::Convert, "cert region expands here");
-        assert_eq!(plan.kids[0].kids[0].card, RepCard::F, "union stays factored");
+        assert_eq!(
+            plan.kids[0].card,
+            RepCard::Convert,
+            "cert region expands here"
+        );
+        assert_eq!(
+            plan.kids[0].kids[0].card,
+            RepCard::F,
+            "union stays factored"
+        );
         assert_eq!(plan.kids[1].card, RepCard::E, "poss tail stays enumerated");
         assert!(plan.kids[1].all_e);
         assert!(plan.any_f());
@@ -1028,12 +904,17 @@ mod tests {
         let plan1 = plan_query(&op1, &ws);
         assert_eq!(plan1.card, RepCard::Convert, "decoded at the output");
         assert_eq!(plan1.kids[0].card, RepCard::F);
-        assert_eq!(plan1.kids[0].kids[0].kids[0].kids[0].card, RepCard::F, "Rel leaf");
+        assert_eq!(
+            plan1.kids[0].kids[0].kids[0].kids[0].card,
+            RepCard::F,
+            "Rel leaf"
+        );
         config::set_factorize_enabled(None);
     }
 
     #[test]
     fn planned_matches_reference_on_forced_switches() {
+        let _guard = toggle_lock();
         config::set_factorize_enabled(Some(true));
         let ws = multi(4, 8);
         // Decode boundary above a factored region: the region converts,

@@ -34,8 +34,7 @@ pub mod typing;
 pub use ast::Query;
 pub use display::render_tree;
 pub use factorized::{
-    eval_factorized, eval_named_routed, eval_planned, implicit_world_estimate,
-    implicit_world_estimate_with, plan_query, plan_with, should_factorize, RepCard, RepPlan,
+    eval_factorized, eval_named_routed, eval_planned, plan_query, RepCard, RepPlan,
 };
 pub use genericity::{check_generic, query_constants};
 pub use program::{eval_program, Program, Statement};

@@ -221,7 +221,11 @@ fn mixed_plans_match_enumerated() {
         let plan = plan_query(&q, &ws);
         assert!(plan.any_f(), "plan must keep a factored region");
         assert_eq!(plan.kids[0].card, RepCard::Convert, "F→E switch at cert");
-        assert_eq!(plan.kids[1].card, RepCard::E, "linear tail stays enumerated");
+        assert_eq!(
+            plan.kids[1].card,
+            RepCard::E,
+            "linear tail stays enumerated"
+        );
         config::set_factorize_enabled(None);
     }
     assert_planned_matches(&q, &ws);
@@ -236,7 +240,11 @@ fn mixed_plans_match_enumerated() {
         config::set_factorize_enabled(Some(true));
         let plan = plan_query(&boundary, &ws);
         assert_eq!(plan.card, RepCard::E, "decode boundary always enumerated");
-        assert_eq!(plan.kids[0].card, RepCard::Convert, "subtree expands below it");
+        assert_eq!(
+            plan.kids[0].card,
+            RepCard::Convert,
+            "subtree expands below it"
+        );
         config::set_factorize_enabled(None);
     }
     assert_planned_matches(&boundary, &ws);

@@ -413,73 +413,6 @@ pub fn translate_complete(
     Ok(answer.project(d))
 }
 
-/// Process-level result cache for [`run_general`]: the same WSA query run
-/// against an unchanged representation returns the previously decoded
-/// world-set. Like `relalg::plan_cache`, soundness is content-addressed —
-/// a hit requires the cached input tables to equal the current ones — so
-/// stale entries can never serve wrong data. Bounded; cleared wholesale on
-/// overflow.
-struct ResultEntry {
-    query: Query,
-    answer_name: String,
-    names: Vec<String>,
-    id_attrs: Vec<Attr>,
-    tables: Vec<Relation>,
-    world_table: Relation,
-    out: WorldSet,
-}
-
-/// The cache is sharded 16 ways (the same scheme as the value interner and
-/// `relalg::plan_cache`) so concurrent world-set pipelines hitting
-/// different queries don't serialize on one mutex; a query's shard is the
-/// hash of `(query, answer_name)`.
-const RESULT_CACHE_SHARDS: usize = 16;
-
-static RESULT_CACHE: [std::sync::Mutex<Vec<ResultEntry>>; RESULT_CACHE_SHARDS] =
-    [const { std::sync::Mutex::new(Vec::new()) }; RESULT_CACHE_SHARDS];
-
-/// Maximum number of cached translation-route results per shard.
-const RESULT_CACHE_SHARD_CAP: usize = 4;
-
-fn result_cache_shard(q: &Query, answer_name: &str) -> &'static std::sync::Mutex<Vec<ResultEntry>> {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    q.hash(&mut h);
-    answer_name.hash(&mut h);
-    &RESULT_CACHE[h.finish() as usize % RESULT_CACHE_SHARDS]
-}
-
-/// Largest representation (total input tuples) worth pinning in the result
-/// cache — entries own a copy of their inputs for content verification, so
-/// unbounded representations would pin unbounded memory.
-const RESULT_CACHE_MAX_TUPLES: usize = 1 << 17;
-
-/// Total tuple count of a representation (cache admission / verification
-/// cost bound).
-fn rep_tuples(rep: &InlinedRep) -> usize {
-    rep.tables.iter().map(Relation::len).sum::<usize>() + rep.world_table.len()
-}
-
-impl ResultEntry {
-    fn matches(&self, q: &Query, rep: &InlinedRep, answer_name: &str) -> bool {
-        self.query == *q
-            && self.answer_name == answer_name
-            && self.names == rep.names
-            && self.id_attrs == rep.id_attrs
-            // Table verification is O(1) per table on the hot path: the
-            // epoch tag decides (clones share their constructor's tag),
-            // and the content comparison inside `fast_eq` only runs for
-            // independently rebuilt, content-equal representations.
-            && self.world_table.fast_eq(&rep.world_table)
-            && self.tables.len() == rep.tables.len()
-            && self
-                .tables
-                .iter()
-                .zip(&rep.tables)
-                .all(|(cached, cur)| cached.fast_eq(cur))
-    }
-}
-
 /// Run the general translation end to end: encode nothing (the `rep` is
 /// given), evaluate every translated table with a relational engine, and
 /// decode the resulting representation back into a world-set.
@@ -490,102 +423,13 @@ impl ResultEntry {
 /// cardinalities, the translated expressions are algebraically simplified,
 /// and evaluation goes through the canonical-form caches — structurally
 /// identical subplans (the base-table joins copied per table) evaluate
-/// once. Re-running the same query against the same representation is a
-/// content-verified result-cache hit that skips translation, evaluation
-/// and decoding entirely.
+/// once.
 ///
 /// `run_general(q, encode(A)).rep()` must equal the direct Figure-3
 /// semantics `⟦q⟧(A)` — the conservativity tests check exactly this, with
 /// the rewrite path both on and off.
 pub fn run_general(q: &Query, rep: &InlinedRep, answer_name: &str) -> Result<WorldSet> {
     let rewrite = relalg::plan_cache::rewrite_enabled();
-    let cacheable = rewrite && rep_tuples(rep) <= RESULT_CACHE_MAX_TUPLES;
-    if cacheable {
-        let cache = result_cache_shard(q, answer_name)
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        if let Some(e) = cache.iter().find(|e| e.matches(q, rep, answer_name)) {
-            return Ok(e.out.clone());
-        }
-    }
-    let out = run_general_uncached(q, rep, answer_name, rewrite)?;
-    if cacheable {
-        let mut cache = result_cache_shard(q, answer_name)
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        if cache.len() >= RESULT_CACHE_SHARD_CAP {
-            cache.clear();
-        }
-        cache.push(ResultEntry {
-            query: q.clone(),
-            answer_name: answer_name.to_string(),
-            names: rep.names.clone(),
-            id_attrs: rep.id_attrs.clone(),
-            tables: rep.tables.clone(),
-            world_table: rep.world_table.clone(),
-            out: out.clone(),
-        });
-    }
-    Ok(out)
-}
-
-/// Implicit-world estimate at which [`run_general`] diverts to factorized
-/// execution. The translation route is itself succinct — implicit worlds
-/// appear only as rows of the answer's world table, never as materialized
-/// databases — so the factorized path pays off far later here than
-/// against per-world enumeration (where `WSDB_FACTORIZE_MIN_WORLDS`
-/// defaults to 16). Measured on B9's shapes, translation still wins at a
-/// few hundred implicit worlds; the B12 shapes where factorization is
-/// decisive sit at 10⁴ and beyond.
-const FACTORIZE_TRANSLATE_MIN_WORLDS: u128 = 1024;
-
-/// [`wsa::implicit_world_estimate_with`] fed from the representation:
-/// the world table's length times the query's splitting factor, with
-/// choice-group counts taken from the inlined tables' column statistics
-/// (which span all worlds — an over-count per world, fine for a steer).
-fn estimate_from_rep(q: &Query, rep: &InlinedRep) -> u128 {
-    wsa::implicit_world_estimate_with(q, rep.world_count(), &|name, attrs| {
-        let pos = rep.names.iter().position(|n| n == name)?;
-        let t = &rep.tables[pos];
-        let stats = t.stats();
-        let d = attrs
-            .iter()
-            .filter_map(|a| stats.distinct_of(t.schema(), a))
-            .max()?;
-        Some((d.min(stats.rows).max(1)) as u128)
-    })
-}
-
-fn run_general_uncached(
-    q: &Query,
-    rep: &InlinedRep,
-    answer_name: &str,
-    rewrite: bool,
-) -> Result<WorldSet> {
-    // Factorized leg: when the estimated implicit world count is large
-    // enough that the translation route would materialize it row by row
-    // in the answer's world table, decode the (explicitly small)
-    // representation once and run the algebra over the factorized form —
-    // worlds then only materialize at the final decode. The gate reads
-    // the representation itself (world-table length, inlined-table column
-    // statistics), so the common small-scale case never pays a decode
-    // just to consult the planner; the per-operator [`wsa::RepPlan`] is
-    // then rebuilt against the decoded worlds' real statistics, and only
-    // plans with at least one factored region divert. Any factorized
-    // error (budget overflow, algebra error) falls through to the
-    // translation route, whose result is authoritative.
-    if relalg::config::factorize_enabled()
-        && estimate_from_rep(q, rep) >= FACTORIZE_TRANSLATE_MIN_WORLDS
-    {
-        if let Ok(ws) = rep.rep() {
-            let plan = wsa::plan_query(q, &ws);
-            if plan.any_f() {
-                if let Ok(out) = wsa::eval_planned(q, &ws, answer_name, &plan) {
-                    return Ok(out);
-                }
-            }
-        }
-    }
     let optimized;
     let q = if rewrite {
         let value_schemas: Vec<(String, Schema)> = rep

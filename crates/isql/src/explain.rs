@@ -154,23 +154,12 @@ fn node_label(q: &Query) -> String {
 }
 
 /// Flatten the representation plan into report lines (pre-order, children
-/// in query order). With `force_enum` (factorization disabled for the
-/// session) every node reports `E` — the plan that would actually run.
-fn rep_lines(
-    q: &Query,
-    plan: &wsa::RepPlan,
-    depth: usize,
-    force_enum: bool,
-    out: &mut Vec<RepNodeLine>,
-) {
+/// in query order).
+fn rep_lines(q: &Query, plan: &wsa::RepPlan, depth: usize, out: &mut Vec<RepNodeLine>) {
     out.push(RepNodeLine {
         depth,
         label: node_label(q),
-        card: if force_enum {
-            wsa::RepCard::E
-        } else {
-            plan.card
-        },
+        card: plan.card,
         out: plan.out,
     });
     let kids: Vec<&Query> = match q {
@@ -189,7 +178,7 @@ fn rep_lines(
         | Query::Difference(a, b) => vec![a, b],
     };
     for (k, kid) in kids.into_iter().enumerate() {
-        rep_lines(kid, &plan.kids[k], depth + 1, force_enum, out);
+        rep_lines(kid, &plan.kids[k], depth + 1, out);
     }
 }
 
@@ -257,11 +246,9 @@ impl Session {
         // EXPLAIN reports the peak estimate and the per-node decisions.
         let plan = wsa::plan_query(&optimized, ws);
         let implicit_worlds = plan.peak;
-        let routed =
-            relalg::config::factorize_enabled() && !ws.is_empty() && plan.any_f();
         let mut rep_plan = Vec::new();
-        rep_lines(&optimized, &plan, 0, !routed, &mut rep_plan);
-        let rep = if !routed {
+        rep_lines(&optimized, &plan, 0, &mut rep_plan);
+        let rep = if !plan.any_f() {
             "enum"
         } else if rep_plan.iter().any(|l| l.card == wsa::RepCard::E) {
             "mixed"
@@ -512,13 +499,27 @@ mod tests {
         assert_eq!(e.rep, "factored");
         assert!(e.implicit_worlds >= 20, "{}", e.implicit_worlds);
         let rendered = e.render();
-        assert!(rendered.contains("rep:        factored (peak ≈"), "{rendered}");
+        assert!(
+            rendered.contains("rep:        factored (peak ≈"),
+            "{rendered}"
+        );
         // The region root converts at the output; everything below is F.
         assert!(rendered.contains("rep=convert"), "{rendered}");
         assert!(rendered.contains("χ  rep=F ≈20"), "{rendered}");
         // A χ-ended query decodes its peak at the output: enumerated.
         let e2 = s.explain("select * from T choice of K;").unwrap();
         assert_eq!(e2.rep, "enum");
+        // With the toggle off every node is enumerated; the estimate stays.
+        relalg::config::set_factorize_enabled(Some(false));
+        let off = s.explain("select certain V from T choice of K;").unwrap();
+        relalg::config::set_factorize_enabled(None);
+        assert_eq!(off.rep, "enum");
+        assert_eq!(off.implicit_worlds, e.implicit_worlds);
+        let rendered = off.render();
+        assert!(rendered.contains("rep:        enum (peak ≈"), "{rendered}");
+        let nodes: Vec<&str> = rendered.lines().filter(|l| l.contains("  rep=")).collect();
+        assert_eq!(nodes.len(), off.rep_plan.len(), "{rendered}");
+        assert!(nodes.iter().all(|l| l.contains("  rep=E ≈")), "{rendered}");
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //!   correlation through a scope stack (used by `in`/`exists` and scalar
 //!   subqueries, e.g. the TPC-H what-if query of Section 2).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::Hash;
+use std::sync::Mutex;
 
 use relalg::{Attr, Relation, Schema, Tuple, Value};
 use worldset::{World, WorldSet};
@@ -106,39 +108,48 @@ fn optimize_memoized(
     many_worlds: bool,
     cap: usize,
 ) -> Option<wsa::Query> {
-    use std::collections::HashMap;
-    use std::sync::Mutex;
-    static MEMO: Mutex<Option<HashMap<OptKey, Option<wsa::Query>>>> = Mutex::new(None);
-    const MEMO_CAP: usize = 256;
+    static MEMO: Memo<OptKey, Option<wsa::Query>> = Mutex::new(None);
+    memoized(
+        &MEMO,
+        (algebra.clone(), fingerprints, many_worlds, cap),
+        || {
+            let multiplicity = if many_worlds {
+                wsa::typing::Multiplicity::Many
+            } else {
+                wsa::typing::Multiplicity::One
+            };
+            let ctx = wsa_rewrite::RewriteCtx::new(base)
+                .with_stats(stats)
+                .with_multiplicity(multiplicity);
+            let optimized = wsa_rewrite::optimize_capped(algebra, &ctx, cap).0;
+            (optimized != *algebra).then_some(optimized)
+        },
+    )
+}
 
-    let key: OptKey = (algebra.clone(), fingerprints, many_worlds, cap);
+/// A process-level memo (the optimizer and translation memos): bounded at
+/// 256 entries and cleared wholesale once full.
+type Memo<K, V> = Mutex<Option<HashMap<K, V>>>;
+
+/// The memoized `compute()` for `key`. The lock is not held while
+/// computing, so a concurrent miss on the same key computes twice (both
+/// results are equal).
+fn memoized<K: Hash + Eq, V: Clone>(memo: &Memo<K, V>, key: K, compute: impl FnOnce() -> V) -> V {
+    const MEMO_CAP: usize = 256;
     {
-        let mut guard = MEMO.lock().unwrap_or_else(|p| p.into_inner());
+        let mut guard = memo.lock().unwrap_or_else(|p| p.into_inner());
         if let Some(hit) = guard.get_or_insert_with(HashMap::new).get(&key) {
             return hit.clone();
         }
     }
-    let multiplicity = if many_worlds {
-        wsa::typing::Multiplicity::Many
-    } else {
-        wsa::typing::Multiplicity::One
-    };
-    let ctx = wsa_rewrite::RewriteCtx::new(base)
-        .with_stats(stats)
-        .with_multiplicity(multiplicity);
-    let optimized = wsa_rewrite::optimize_capped(algebra, &ctx, cap).0;
-    let result = if optimized == *algebra {
-        None
-    } else {
-        Some(optimized)
-    };
-    let mut guard = MEMO.lock().unwrap_or_else(|p| p.into_inner());
-    let memo = guard.get_or_insert_with(HashMap::new);
-    if memo.len() >= MEMO_CAP {
-        memo.clear();
+    let value = compute();
+    let mut guard = memo.lock().unwrap_or_else(|p| p.into_inner());
+    let map = guard.get_or_insert_with(HashMap::new);
+    if map.len() >= MEMO_CAP {
+        map.clear();
     }
-    memo.insert(key, result.clone());
-    result
+    map.insert(key, value.clone());
+    value
 }
 
 /// The relations as seen in the first world — the fingerprint the
@@ -161,10 +172,11 @@ fn card_fingerprint(ws: &WorldSet) -> Vec<RelFingerprint> {
 /// failed — the interpreter then reports the authoritative error).
 ///
 /// The route fires when the Section-6 optimizer found a strictly cheaper
-/// plan, **or** when the factorized chooser wants the query: the
-/// interpreter enumerates every `choice of` world explicitly, so a query
-/// over many implicit worlds goes through the algebra even unrewritten,
-/// where [`wsa::eval_named_routed`] can run it factorized.
+/// plan, **or** when [`wsa::plan_query`] gives the query a factored
+/// region: the interpreter enumerates every `choice of` world explicitly,
+/// so a query over many implicit worlds goes through the algebra even
+/// unrewritten. The plan is built once; a factorized error falls back to
+/// the reference evaluator, as in [`wsa::eval_named_routed`].
 fn try_rewrite_route_ws(stmt: &SelectStmt, ws: &WorldSet, out_name: &str) -> Option<WorldSet> {
     if !relalg::plan_cache::rewrite_enabled() || !stmt.uses_world_constructs() {
         return None;
@@ -186,12 +198,19 @@ fn try_rewrite_route_ws(stmt: &SelectStmt, ws: &WorldSet, out_name: &str) -> Opt
         ws.len() > 1,
         20_000,
     );
-    let query = match optimized {
-        Some(q) => q,
-        None if wsa::should_factorize(&algebra, ws) => algebra,
-        None => return None,
+    let (query, rewritten) = match optimized {
+        Some(q) => (q, true),
+        None => (algebra, false),
     };
-    wsa::eval_named_routed(&query, ws, out_name).ok()
+    let plan = wsa::plan_query(&query, ws);
+    if plan.any_f() {
+        if let Ok(out) = wsa::eval_planned(&query, ws, out_name, &plan) {
+            return Some(out);
+        }
+    } else if !rewritten {
+        return None;
+    }
+    wsa::eval_named(&query, ws, out_name).ok()
 }
 
 fn eval_select_ws_interp(stmt: &SelectStmt, ws: &WorldSet, out_name: &str) -> Result<WorldSet> {
@@ -952,30 +971,13 @@ fn translate_memoized(
     fingerprints: Vec<RelFingerprint>,
     catalog: &relalg::Catalog,
 ) -> Option<relalg::Expr> {
-    use std::collections::HashMap;
-    use std::sync::Mutex;
-    type Key = (wsa::Query, Vec<RelFingerprint>);
-    static MEMO: Mutex<Option<HashMap<Key, Option<relalg::Expr>>>> = Mutex::new(None);
-    const MEMO_CAP: usize = 256;
-
-    let key: Key = (q.clone(), fingerprints);
-    {
-        let mut guard = MEMO.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(hit) = guard.get_or_insert_with(HashMap::new).get(&key) {
-            return hit.clone();
-        }
-    }
-    let expr = wsa_inlined::translate_opt_complete(q, base)
-        .ok()
-        .and_then(|e| relalg::simplify(&e, base).ok())
-        .map(|e| relalg::opt::optimize_joins(&e, catalog));
-    let mut guard = MEMO.lock().unwrap_or_else(|p| p.into_inner());
-    let memo = guard.get_or_insert_with(HashMap::new);
-    if memo.len() >= MEMO_CAP {
-        memo.clear();
-    }
-    memo.insert(key, expr.clone());
-    expr
+    static MEMO: Memo<(wsa::Query, Vec<RelFingerprint>), Option<relalg::Expr>> = Mutex::new(None);
+    memoized(&MEMO, (q.clone(), fingerprints), || {
+        wsa_inlined::translate_opt_complete(q, base)
+            .ok()
+            .and_then(|e| relalg::simplify(&e, base).ok())
+            .map(|e| relalg::opt::optimize_joins(&e, catalog))
+    })
 }
 
 /// Final projection of a select statement over the filtered product `acc`,

@@ -180,9 +180,8 @@ impl SessionConfig {
             "worlds_budget",
             "compact",
         ];
-        const TOGGLES: [bool; NUM_SLOTS] = [
-            false, false, false, true, true, true, false, false, true,
-        ];
+        const TOGGLES: [bool; NUM_SLOTS] =
+            [false, false, false, true, true, true, false, false, true];
         let mut parts = Vec::new();
         for (i, &v) in self.slots.iter().enumerate() {
             if v == 0 {

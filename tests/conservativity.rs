@@ -6,8 +6,8 @@
 
 use datagen::{random_world_set, RandomSpec};
 use proptest::prelude::*;
-use relalg::{attrs, Catalog, Pred, Schema};
-use worldset::WorldSet;
+use relalg::{attrs, Catalog, Pred, Relation, Schema, Value};
+use worldset::{World, WorldSet};
 use wsa::{eval_named, Query};
 use wsa_inlined::{run_general, translate_complete, translate_opt_complete, InlinedRep};
 
@@ -27,6 +27,24 @@ fn multi_spec() -> RandomSpec {
         max_tuples: 4,
         domain: 3,
     }
+}
+
+/// Four distinct worlds over `R0(A, B)`, each with 16 distinct `A` and 16
+/// distinct `B` values in 32 rows: a choice on `A` then on `B` has an
+/// implicit-world estimate of 4 × 16 × 16 = 1024, while the Figure-3
+/// semantics materializes only 4 × 16 × 2 worlds.
+fn large_estimate_world_set(seed: u64) -> WorldSet {
+    let worlds = (0..4u64).map(|w| {
+        let rows = (0..32u64).map(|i| {
+            let a = i % 16;
+            let b = (a.wrapping_mul(seed | 1) + (i / 16) * 5 + w) % 16;
+            vec![Value::Int(a as i64), Value::Int(b as i64)]
+        });
+        World::new(vec![
+            Relation::from_rows(Schema::of(&["A", "B"]), rows).unwrap()
+        ])
+    });
+    WorldSet::from_worlds(vec!["R0".to_string()], worlds.collect::<Vec<_>>()).unwrap()
 }
 
 /// A family of complete-to-complete queries exercising every translated
@@ -122,9 +140,22 @@ proptest! {
             Query::rel("R0").cert_group(attrs(&["A"]), attrs(&["B"])),
             Query::rel("R0").choice(attrs(&["B"])).poss(),
         ];
-        for q in queries {
-            let direct = eval_named(&q, &ws, "Ans").unwrap();
-            let translated = run_general(&q, &rep, "Ans").unwrap();
+        // One input at the size where factorization would be routed.
+        let wide = large_estimate_world_set(seed);
+        let wide_rep = InlinedRep::encode(&wide).unwrap();
+        let wide_q = Query::rel("R0")
+            .choice(attrs(&["A"]))
+            .choice(attrs(&["B"]))
+            .project(attrs(&["B"]))
+            .cert();
+        prop_assert!(wsa::plan_query(&wide_q, &wide).peak >= 1024);
+        let inputs = queries
+            .into_iter()
+            .map(|q| (q, &ws, &rep))
+            .chain([(wide_q, &wide, &wide_rep)]);
+        for (q, ws, rep) in inputs {
+            let direct = eval_named(&q, ws, "Ans").unwrap();
+            let translated = run_general(&q, rep, "Ans").unwrap();
             prop_assert_eq!(&translated, &direct, "translation differs for {}", q);
         }
     }
